@@ -26,7 +26,7 @@
    closes once flushed); well-framed garbage is answered and the
    session continues.  Requests whose deadline expires while queued
    are answered [Timeout] and the abandoned future still populates the
-   cache, exactly like the threaded server.
+   cache.
 
    In router mode ([~shards]) the mux owns no pipeline at all: compile
    requests are routed by the leading bits of their content digest to
@@ -266,7 +266,7 @@ let stats_doc t : J.t =
          ( "limits",
            J.Obj
              [
-               ("jobs", J.Int t.cfg.jobs);
+               ("jobs", J.Int (Pool.jobs t.pool));
                ("max_inflight", J.Int t.cfg.max_inflight);
                ("deadline_s", J.Float t.cfg.deadline_s);
                ("wq_high_water", J.Int t.cfg.wq_high_water);
@@ -529,18 +529,25 @@ let dispatch_compile t (c : Protocol.compile) (raw : string) : dispatch =
                         }))
             | `Join fut -> Later (fut, deadline_of t c)
             | `Go ->
+                (* submit and register in one critical section: a compile
+                   that fails fast must not run its [finally] (removing
+                   the key) before the key is inserted.  The pool has a
+                   worker, so [submit] never runs the task inline here. *)
                 let fut =
-                  Pool.submit t.pool (fun () ->
-                      Fun.protect
-                        ~finally:(fun () ->
-                          locked t (fun () ->
-                              t.inflight <- t.inflight - 1;
-                              Hashtbl.remove t.keyed key))
-                        (compile_task t ~label ~source ~deterministic ~key
-                           options))
+                  locked t @@ fun () ->
+                  let fut =
+                    Pool.submit t.pool (fun () ->
+                        Fun.protect
+                          ~finally:(fun () ->
+                            locked t (fun () ->
+                                t.inflight <- t.inflight - 1;
+                                Hashtbl.remove t.keyed key))
+                          (compile_task t ~label ~source ~deterministic ~key
+                             options))
+                  in
+                  if deterministic then Hashtbl.replace t.keyed key fut;
+                  fut
                 in
-                if deterministic then
-                  locked t (fun () -> Hashtbl.replace t.keyed key fut);
                 Later (fut, deadline_of t c)))
 
 (* ------------------------------------------------------------------ *)

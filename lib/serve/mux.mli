@@ -24,9 +24,9 @@
     response bytes verbatim.  The invariant: the shard index is a pure
     function of the cache key, so cache residency partitions cleanly.
 
-    Like the threaded {!Server}, reports served deterministically are
-    byte-identical to one-shot [Pipeline.run_fresh_json] output; only
-    deterministic reports are cached. *)
+    Reports served deterministically are byte-identical to one-shot
+    [Pipeline.run_fresh_json] output; only deterministic reports are
+    cached. *)
 
 type config = {
   jobs : int;  (** compile pool size (forced to at least 2 so the
@@ -62,7 +62,8 @@ val request_shutdown : t -> unit
 
 val shutting_down : t -> bool
 
-(** The stats document ([Rp_obs.Report] with a ["serve"] section).
+(** The stats document ([Rp_obs.Report] with a ["serve"] section;
+    [limits.jobs] is the pool size in use, after the forced minimum).
     Takes the process-global obs lock. *)
 val stats_doc : t -> Rp_obs.Json.t
 

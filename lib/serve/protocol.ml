@@ -405,6 +405,5 @@ let recv conn of_json : 'a framed =
       | Ok doc -> ( match of_json doc with Ok v -> Msg v | Error m -> Garbled m))
 
 let send_request conn r = send conn request_to_json r
-let send_response conn r = send conn response_to_json r
 let recv_request conn = recv conn request_of_json
 let recv_response conn = recv conn response_of_json

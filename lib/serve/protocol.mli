@@ -9,10 +9,10 @@
     caller to turn into an error response — never an exception, never
     a dead daemon.
 
-    The transport is abstract ({!conn}): the server wraps Unix-domain
-    sockets and the test suite an in-process loopback pipe
-    ({!Server.loopback}) in the same record, so every protocol and
-    server path is exercised without touching the network. *)
+    The transport is abstract ({!conn}): Unix-domain sockets and the
+    in-process socketpairs of {!Mux.loopback} share the same record,
+    so every protocol and server path is exercised without touching
+    the network. *)
 
 (** Protocol version spoken by this build: 1. Carried in every
     request and response as ["v"]; a request with a different version
@@ -124,6 +124,5 @@ val options_fingerprint : ?for_key:bool -> Rp_core.Pipeline.options -> string
 type 'a framed = Msg of 'a | End | Garbled of string
 
 val send_request : conn -> request -> unit
-val send_response : conn -> response -> unit
 val recv_request : conn -> request framed
 val recv_response : conn -> response framed

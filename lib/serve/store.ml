@@ -199,8 +199,14 @@ let add s ~key value =
         in
         match
           let oc = Out_channel.open_bin tmp in
-          Fun.protect ~finally:(fun () -> Out_channel.close oc) (fun () ->
-              Out_channel.output_string oc value);
+          (* the flush happens at [close]: it must fail here, where the
+             handler below sees it, and a failed flush is never renamed *)
+          (try
+             Out_channel.output_string oc value;
+             Out_channel.close oc
+           with e ->
+             Out_channel.close_noerr oc;
+             raise e);
           Unix.rename tmp (path_of s key)
         with
         | () ->

@@ -439,6 +439,33 @@ let test_store_rejects_bad_keys () =
   Alcotest.(check (option string)) "nothing served" None
     (Store.find st "../../etc/passwd")
 
+let test_store_full_disk () =
+  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
+  with_tmp_dir @@ fun dir ->
+  let st = Store.open_dir dir in
+  (* point the store's next temporary at a device on which every flush
+     fails with ENOSPC, as on a full disk *)
+  let fill_disk seq =
+    Unix.symlink "/dev/full"
+      (Filename.concat dir
+         (Printf.sprintf "%s.tmp.%d.%d" (hkey 9) (Unix.getpid ()) seq))
+  in
+  fill_disk 1;
+  Store.add st ~key:(hkey 9) "report";
+  let s = Store.stats st in
+  Alcotest.(check int) "error counted" 1 s.Store.errors;
+  Alcotest.(check int) "nothing stored" 0 s.Store.entries;
+  Alcotest.(check (list string)) "no temporary left" []
+    (Array.to_list (Sys.readdir dir));
+  Alcotest.(check (option string)) "nothing served" None
+    (Store.find st (hkey 9));
+  (* the cache above a failing store still serves from memory *)
+  fill_disk 2;
+  let c = Cache.create ~store:st () in
+  Cache.add c ~key:(hkey 9) "report";
+  Alcotest.(check (option string)) "served from memory" (Some "report")
+    (Cache.find c (hkey 9))
+
 let test_cache_store_layering () =
   with_tmp_dir @@ fun dir ->
   (* write-through: an add lands in both tiers *)
@@ -588,6 +615,7 @@ let suite =
     Alcotest.test_case "store torn file" `Quick test_store_torn_file;
     Alcotest.test_case "store rejects bad keys" `Quick
       test_store_rejects_bad_keys;
+    Alcotest.test_case "store on a full disk" `Quick test_store_full_disk;
     Alcotest.test_case "cache-store layering" `Quick test_cache_store_layering;
     qtest prop_cache_matches_model;
   ]

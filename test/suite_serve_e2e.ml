@@ -1,11 +1,13 @@
-(* End-to-end tests of the compile daemon over the loopback transport:
-   the full server surface — concurrent clients, cache rounds,
-   byte-identity with direct pipeline runs, poisoned requests,
-   malformed frames, shedding, deadlines, shutdown — without a
+(* End-to-end tests of the compile daemon (the event-driven [Mux])
+   over in-process loopback socketpairs: the full server surface —
+   concurrent clients, cache rounds, byte-identity with direct pipeline
+   runs, poisoned requests, malformed frames, shedding, deadlines,
+   pipelining order, single-flight dedup, shutdown, the persistent
+   store across restarts and the shard router — without a listening
    socket. *)
 
 module Proto = Rp_serve.Protocol
-module Server = Rp_serve.Server
+module Mux = Rp_serve.Mux
 module Client = Rp_serve.Client
 module Cache = Rp_serve.Cache
 module P = Rp_core.Pipeline
@@ -17,13 +19,37 @@ let options = { P.default_options with trace = true }
 let request (w : R.workload) =
   { Proto.target = `Workload w.R.name; options; deterministic = true; deadline_s = None }
 
-let with_server ?config f =
-  let srv = Server.create ?config () in
-  Fun.protect ~finally:(fun () -> Server.stop srv) (fun () -> f srv)
+let with_mux ?config ?shards f =
+  let mx = Mux.create ?config ?shards () in
+  Mux.start mx;
+  Fun.protect ~finally:(fun () -> Mux.stop mx) (fun () -> f mx)
 
-let with_client srv f =
-  let c = Client.of_conn (Server.loopback srv) in
+let with_client mx f =
+  let c = Client.of_conn (Mux.loopback mx) in
   Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f c)
+
+let with_conn mx f =
+  let conn = Mux.loopback mx in
+  Fun.protect ~finally:(fun () -> conn.Proto.close ()) (fun () -> f conn)
+
+let with_tmp_dir f =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "rp_mux_test_%d_%d" (Unix.getpid ()) (Random.int 1_000_000))
+  in
+  Unix.mkdir dir 0o700;
+  Fun.protect
+    ~finally:(fun () ->
+      let rec rm p =
+        if Sys.is_directory p then begin
+          Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
+          Unix.rmdir p
+        end
+        else Sys.remove p
+      in
+      try rm dir with Sys_error _ | Unix.Unix_error _ -> ())
+    (fun () -> f dir)
 
 let response_label = function
   | Proto.Report { cached; _ } ->
@@ -34,11 +60,50 @@ let response_label = function
   | Proto.Stats_reply _ -> "Stats_reply"
   | Proto.Shutdown_ack -> "Shutdown_ack"
 
+(* the next response on a raw conn; end of stream fails the test *)
+let recv conn name =
+  match Proto.recv_response conn with
+  | Proto.Msg r -> r
+  | Proto.End -> Alcotest.failf "%s: stream ended" name
+  | Proto.Garbled m -> Alcotest.failf "%s: garbled reply: %s" name m
+
+(* one request as raw frame bytes, for tests that control the writes *)
+let frame_of (req : Proto.request) =
+  let payload = J.to_string ~minify:true (Proto.request_to_json req) in
+  let n = String.length payload in
+  let b = Bytes.create (4 + n) in
+  Bytes.set_int32_be b 0 (Int32.of_int n);
+  Bytes.blit_string payload 0 b 4 n;
+  b
+
+(* a field of a stats document, by path *)
+let stat doc path =
+  List.fold_left
+    (fun d k ->
+      match J.member d k with
+      | Some v -> v
+      | None -> Alcotest.failf "stats: no %s" (String.concat "." path))
+    doc path
+
+let stat_int doc path =
+  match stat doc path with
+  | J.Int n -> n
+  | _ -> Alcotest.failf "stats: %s is not an int" (String.concat "." path)
+
+(* small deterministic compile requests; [options] (trace on) is
+   reserved for the byte-identity checks *)
+let mux_options = { P.default_options with P.trace = false; fuel = 10_000_000 }
+
+let mk_compile ?deadline_s ?(options = mux_options) target =
+  { Proto.target; options; deterministic = true; deadline_s }
+
+let poisoned_source = "int main() { return $; }"
+
 (* ------------------------------------------------------------------ *)
-(* The headline test: N concurrent clients over the 8 seed workloads.
+(* The headline test: N concurrent clients over the seed workloads.
    Round 1 (cold) must return fresh reports byte-identical to direct
    [Pipeline.run_fresh_json] runs; round 2 (warm) must serve the same
-   bytes from the cache. *)
+   bytes from the cache, every lookup a hit. *)
 
 let test_rounds () =
   (* the oracle: direct pipeline runs, computed sequentially up front
@@ -53,7 +118,7 @@ let test_rounds () =
         (w.R.name, s))
       R.all
   in
-  with_server @@ fun srv ->
+  with_mux @@ fun mx ->
   let clients = 4 in
   (* partition the workloads round-robin over the clients *)
   let parts = Array.make clients [] in
@@ -66,7 +131,7 @@ let test_rounds () =
       List.init clients (fun i ->
           Thread.create
             (fun () ->
-              with_client srv @@ fun c ->
+              with_client mx @@ fun c ->
               results.(i) <-
                 List.map
                   (fun (w : R.workload) ->
@@ -96,19 +161,19 @@ let test_rounds () =
   in
   check_round ~name:"round1" ~want_cached:false (round ());
   check_round ~name:"round2" ~want_cached:true (round ());
-  let s = Cache.stats (Server.cache srv) in
+  let s = Cache.stats (Mux.cache mx) in
   Alcotest.(check int) "round2 all hits" (List.length R.all) s.Cache.hits;
   Alcotest.(check int) "round1 all misses" (List.length R.all) s.Cache.misses
 
 (* ------------------------------------------------------------------ *)
 
 let test_poisoned () =
-  with_server @@ fun srv ->
-  with_client srv @@ fun c ->
+  with_mux @@ fun mx ->
+  with_client mx @@ fun c ->
   (* a lexer error must come back as a structured Bad_input response *)
   (match
      Client.compile c
-       { Proto.target = `Source "int main() { return $; }";
+       { Proto.target = `Source poisoned_source;
          options; deterministic = true; deadline_s = None }
    with
   | Proto.Error { kind = Proto.Bad_input; _ } -> ()
@@ -123,9 +188,27 @@ let test_poisoned () =
   | r -> Alcotest.failf "after poison: %s" (response_label r));
   Alcotest.(check bool) "ping after poison" true (Client.ping c)
 
+let test_failing_compiles_never_join () =
+  with_mux @@ fun mx ->
+  with_client mx @@ fun c ->
+  (* identical deterministic compiles that fail fast, one after the
+     other: each runs afresh, none joins the previous (finished)
+     future, and no single-flight registration outlives its compile *)
+  let req = mk_compile (`Source poisoned_source) in
+  for i = 1 to 200 do
+    match Client.compile c req with
+    | Proto.Error { kind = Proto.Bad_input; _ } -> ()
+    | r -> Alcotest.failf "failing compile %d: %s" i (response_label r)
+  done;
+  let doc = Mux.stats_doc mx in
+  Alcotest.(check int) "no dedup joins" 0
+    (stat_int doc [ "serve"; "responses"; "dedup_joins" ]);
+  Alcotest.(check int) "nothing in flight" 0
+    (stat_int doc [ "serve"; "inflight" ])
+
 let test_fuel_exhausted () =
-  with_server @@ fun srv ->
-  with_client srv @@ fun c ->
+  with_mux @@ fun mx ->
+  with_client mx @@ fun c ->
   (* an infinite loop under a tiny budget: a structured fuel_exhausted
      error, distinct from Bad_input, naming the budget *)
   (match
@@ -152,8 +235,8 @@ let test_fuel_exhausted () =
   Alcotest.(check bool) "ping after fuel exhaustion" true (Client.ping c)
 
 let test_unknown_workload () =
-  with_server @@ fun srv ->
-  with_client srv @@ fun c ->
+  with_mux @@ fun mx ->
+  with_client mx @@ fun c ->
   match
     Client.compile c
       { Proto.target = `Workload "no-such-workload"; options;
@@ -163,62 +246,51 @@ let test_unknown_workload () =
   | r -> Alcotest.failf "unknown workload: %s" (response_label r)
 
 let test_malformed_frame () =
-  with_server @@ fun srv ->
-  let conn = Server.loopback srv in
-  Fun.protect ~finally:(fun () -> conn.Proto.close ()) @@ fun () ->
-  (* a length prefix beyond max_frame: answered with a protocol error,
-     then the connection is closed (the stream is desynchronised) *)
-  let hdr = Bytes.create 4 in
-  Bytes.set_int32_be hdr 0 (Int32.of_int (Proto.max_frame + 1));
-  conn.Proto.output hdr 0 4;
-  (match Proto.recv_response conn with
-  | Proto.Msg (Proto.Error { kind = Proto.Protocol_error; _ }) -> ()
-  | Proto.Msg r -> Alcotest.failf "bad frame: %s" (response_label r)
-  | Proto.End -> Alcotest.fail "bad frame: closed without an error response"
-  | Proto.Garbled m -> Alcotest.failf "bad frame: garbled reply: %s" m);
-  (match Proto.recv_response conn with
-  | Proto.End -> ()
-  | _ -> Alcotest.fail "connection not closed after framing violation");
+  with_mux @@ fun mx ->
+  (with_conn mx @@ fun conn ->
+   (* a length prefix beyond max_frame: answered with a protocol error,
+      then the connection is closed (the stream is desynchronised) *)
+   let hdr = Bytes.create 4 in
+   Bytes.set_int32_be hdr 0 (Int32.of_int (Proto.max_frame + 1));
+   conn.Proto.output hdr 0 4;
+   (match recv conn "bad frame" with
+   | Proto.Error { kind = Proto.Protocol_error; _ } -> ()
+   | r -> Alcotest.failf "bad frame: %s" (response_label r));
+   match Proto.recv_response conn with
+   | Proto.End -> ()
+   | _ -> Alcotest.fail "connection not closed after framing violation");
   (* the daemon survived: a fresh connection works *)
-  with_client srv @@ fun c ->
+  with_client mx @@ fun c ->
   Alcotest.(check bool) "ping after bad frame" true (Client.ping c)
 
 let test_garbled_json () =
-  with_server @@ fun srv ->
-  let conn = Server.loopback srv in
-  Fun.protect ~finally:(fun () -> conn.Proto.close ()) @@ fun () ->
+  with_mux @@ fun mx ->
+  with_conn mx @@ fun conn ->
   (* well-framed garbage: an error response, and the same connection
      keeps working *)
   Proto.write_frame conn "this is not json";
-  (match Proto.recv_response conn with
-  | Proto.Msg (Proto.Error { kind = Proto.Protocol_error; _ }) -> ()
-  | r ->
-      Alcotest.failf "garbage payload: %s"
-        (match r with
-        | Proto.Msg m -> response_label m
-        | Proto.End -> "End"
-        | Proto.Garbled m -> "Garbled " ^ m));
+  (match recv conn "garbage payload" with
+  | Proto.Error { kind = Proto.Protocol_error; _ } -> ()
+  | r -> Alcotest.failf "garbage payload: %s" (response_label r));
   Proto.send_request conn Proto.Ping;
-  match Proto.recv_response conn with
-  | Proto.Msg Proto.Pong -> ()
+  match recv conn "ping after garbage" with
+  | Proto.Pong -> ()
   | _ -> Alcotest.fail "connection did not survive a garbled payload"
 
 let test_busy_shedding () =
   (* max_inflight 0: every uncached compile is shed immediately *)
-  with_server
-    ~config:{ Server.default_config with Server.max_inflight = 0 }
-  @@ fun srv ->
-  with_client srv @@ fun c ->
+  with_mux ~config:{ Mux.default_config with Mux.max_inflight = 0 }
+  @@ fun mx ->
+  with_client mx @@ fun c ->
   (match Client.compile c (request (List.hd R.all)) with
   | Proto.Error { kind = Proto.Busy; _ } -> ()
   | r -> Alcotest.failf "expected Busy, got %s" (response_label r));
   Alcotest.(check bool) "ping while shedding" true (Client.ping c)
 
 let test_deadline () =
-  with_server
-    ~config:{ Server.default_config with Server.deadline_s = 0.005 }
-  @@ fun srv ->
-  with_client srv @@ fun c ->
+  with_mux ~config:{ Mux.default_config with Mux.deadline_s = 0.005 }
+  @@ fun mx ->
+  with_client mx @@ fun c ->
   let w = List.hd R.all in
   (* a full pipeline run takes far longer than 5 ms *)
   (match Client.compile c (request w) with
@@ -227,18 +299,19 @@ let test_deadline () =
   (* the daemon answers while the abandoned compile still runs *)
   Alcotest.(check bool) "ping during background compile" true (Client.ping c);
   (* the background worker finishes into the cache *)
+  let inflight () = stat_int (Mux.stats_doc mx) [ "serve"; "inflight" ] in
   let deadline = Unix.gettimeofday () +. 60.0 in
-  while Server.inflight srv > 0 && Unix.gettimeofday () < deadline do
+  while inflight () > 0 && Unix.gettimeofday () < deadline do
     Thread.delay 0.01
   done;
-  Alcotest.(check int) "background compile drained" 0 (Server.inflight srv);
+  Alcotest.(check int) "background compile drained" 0 (inflight ());
   match Client.compile c (request w) with
   | Proto.Report { cached = true; _ } -> ()
   | r -> Alcotest.failf "expected cached Report, got %s" (response_label r)
 
 let test_nondet_bypasses_cache () =
-  with_server @@ fun srv ->
-  with_client srv @@ fun c ->
+  with_mux @@ fun mx ->
+  with_client mx @@ fun c ->
   let req =
     { Proto.target = `Source "int main() { return 0; }";
       options; deterministic = false; deadline_s = None }
@@ -252,7 +325,7 @@ let test_nondet_bypasses_cache () =
       | r -> Alcotest.failf "%s: %s" name (response_label r))
     [ "first non-det compile"; "second non-det compile" ];
   Alcotest.(check int) "cache untouched" 0
-    (Cache.stats (Server.cache srv)).Cache.entries;
+    (Cache.stats (Mux.cache mx)).Cache.entries;
   (* the same source requested deterministically is cached as usual *)
   (match Client.compile c { req with Proto.deterministic = true; deadline_s = None } with
   | Proto.Report { cached = false; _ } -> ()
@@ -262,49 +335,49 @@ let test_nondet_bypasses_cache () =
   | r -> Alcotest.failf "det recompile: %s" (response_label r)
 
 let test_stats () =
-  with_server @@ fun srv ->
-  with_client srv @@ fun c ->
+  (* jobs 1 asks for a pool the mux forces up to 2: the document
+     reports the pool actually running *)
+  with_mux ~config:{ Mux.default_config with Mux.jobs = 1 } @@ fun mx ->
+  with_client mx @@ fun c ->
   Alcotest.(check bool) "ping" true (Client.ping c);
   let doc = Client.stats c in
-  (match J.member doc "schema_version" with
-  | Some (J.Int v) ->
-      Alcotest.(check int) "stats schema version"
-        Rp_obs.Report.schema_version v
-  | _ -> Alcotest.fail "stats: no schema_version");
-  let serve =
-    match J.member doc "serve" with
-    | Some s -> s
-    | None -> Alcotest.fail "stats: no serve section"
-  in
-  match J.member serve "cache" with
-  | Some _ -> ()
-  | None -> Alcotest.fail "stats: no cache stats"
+  Alcotest.(check int) "stats schema version" Rp_obs.Report.schema_version
+    (stat_int doc [ "schema_version" ]);
+  Alcotest.(check int) "pool size in use" 2
+    (stat_int doc [ "serve"; "limits"; "jobs" ]);
+  ignore (stat doc [ "serve"; "cache" ])
 
 let test_shutdown () =
-  with_server @@ fun srv ->
-  with_client srv @@ fun c ->
-  Alcotest.(check bool) "shutdown acked" true (Client.shutdown c);
-  Alcotest.(check bool) "flag set" true (Server.shutting_down srv);
-  (* a connection opened during the drain is refused new compile work *)
-  with_client srv @@ fun c2 ->
-  match
-    Client.compile c2
-      { Proto.target = `Source "int main() { return 0; }";
-        options; deterministic = true; deadline_s = None }
-  with
+  with_mux @@ fun mx ->
+  with_conn mx @@ fun conn ->
+  (* Shutdown and an uncached compile in one write: the ack comes
+     first, the compile arrives after the drain began and is refused,
+     then the idle connection is retired *)
+  let b =
+    Bytes.cat (frame_of Proto.Shutdown)
+      (frame_of
+         (Proto.Compile (mk_compile (`Source "int main() { return 0; }"))))
+  in
+  conn.Proto.output b 0 (Bytes.length b);
+  (match recv conn "shutdown" with
+  | Proto.Shutdown_ack -> ()
+  | r -> Alcotest.failf "shutdown: %s" (response_label r));
+  Alcotest.(check bool) "flag set" true (Mux.shutting_down mx);
+  (match recv conn "compile during drain" with
   | Proto.Error { kind = Proto.Shutting_down; _ } -> ()
-  | r -> Alcotest.failf "compile during drain: %s" (response_label r)
+  | r -> Alcotest.failf "compile during drain: %s" (response_label r));
+  match Proto.recv_response conn with
+  | Proto.End -> ()
+  | _ -> Alcotest.fail "connection not closed by the drain"
 
 let test_stop_idempotent () =
-  with_server @@ fun srv ->
-  with_client srv @@ fun c ->
+  with_mux @@ fun mx ->
+  with_client mx @@ fun c ->
   Alcotest.(check bool) "ping" true (Client.ping c);
-  (* explicit stop, then the with_server finally stops again: the
+  (* explicit stop, then the with_mux finally stops again: the
      teardown must be claimed exactly once, never drained twice *)
-  Server.stop srv;
-  Server.stop srv
-
-(* ------------------------------------------------------------------ *)
+  Mux.stop mx;
+  Mux.stop mx
 
 (* ------------------------------------------------------------------ *)
 (* The register budget is part of the cache key: requests differing
@@ -320,8 +393,8 @@ let test_regs_splits_cache () =
       ~options:{ options with P.regs = Some 6 }
       w.R.source
   in
-  with_server @@ fun srv ->
-  with_client srv @@ fun c ->
+  with_mux @@ fun mx ->
+  with_client mx @@ fun c ->
   let req regs =
     {
       Proto.target = `Workload w.R.name;
@@ -357,48 +430,12 @@ let test_regs_splits_cache () =
     (expect "regs 8 warm" true (Client.compile c (req (Some 8))))
 
 (* ------------------------------------------------------------------ *)
-(* The event-driven mux daemon: the same loopback discipline over a
-   real socketpair into the select loop — frame reassembly, pipelining
-   order, deadlines, single-flight dedup, stream poisoning, the
-   persistent store across restarts, and the shard router. *)
+(* Event-loop specifics: frame reassembly, pipelining order, deadlines,
+   single-flight dedup, stream poisoning, the persistent store across
+   restarts, and the shard router. *)
 
-module Mux = Rp_serve.Mux
-
-let with_mux ?config ?shards f =
-  let mx = Mux.create ?config ?shards () in
-  Mux.start mx;
-  Fun.protect ~finally:(fun () -> Mux.stop mx) (fun () -> f mx)
-
-let with_mux_client mx f =
-  let c = Client.of_conn (Mux.loopback mx) in
-  Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f c)
-
-let with_tmp_dir f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "rp_mux_test_%d_%d" (Unix.getpid ()) (Random.int 1_000_000))
-  in
-  Unix.mkdir dir 0o700;
-  Fun.protect
-    ~finally:(fun () ->
-      let rec rm p =
-        if Sys.is_directory p then begin
-          Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
-          Unix.rmdir p
-        end
-        else Sys.remove p
-      in
-      try rm dir with Sys_error _ | Unix.Unix_error _ -> ())
-    (fun () -> f dir)
-
-(* small deterministic compile requests for the mux tests; [options]
-   (trace on) is reserved for the byte-identity checks *)
-let mux_options = { P.default_options with P.trace = false; fuel = 10_000_000 }
-
-let mk_compile ?deadline_s ?(options = mux_options) target =
-  { Proto.target; options; deterministic = true; deadline_s }
-
+(* cold then warm rounds on one connection, requests back to back: the
+   same bytes as direct runs, fresh first and then from the cache *)
 let test_mux_rounds () =
   let ws = [ Option.get (R.find "compr"); Option.get (R.find "go") ] in
   (* oracle first: direct runs own the process-global obs state *)
@@ -413,55 +450,42 @@ let test_mux_rounds () =
       ws
   in
   with_mux @@ fun mx ->
-  with_mux_client mx @@ fun c ->
-  List.iter
-    (fun (w : R.workload) ->
-      match Client.compile c (request w) with
-      | Proto.Report { cached = false; report } ->
-          Alcotest.(check string)
-            (w.R.name ^ ": cold byte-identical to direct run")
-            (List.assoc w.R.name expected)
-            report
-      | r -> Alcotest.failf "%s cold: %s" w.R.name (response_label r))
-    ws;
-  List.iter
-    (fun (w : R.workload) ->
-      match Client.compile c (request w) with
-      | Proto.Report { cached = true; report } ->
-          Alcotest.(check string)
-            (w.R.name ^ ": warm bytes stable")
-            (List.assoc w.R.name expected)
-            report
-      | r -> Alcotest.failf "%s warm: %s" w.R.name (response_label r))
-    ws
+  with_client mx @@ fun c ->
+  let round ~name ~want_cached =
+    List.iter
+      (fun (w : R.workload) ->
+        match Client.compile c (request w) with
+        | Proto.Report { cached; report } when cached = want_cached ->
+            Alcotest.(check string)
+              (w.R.name ^ ": " ^ name ^ " byte-identical to direct run")
+              (List.assoc w.R.name expected)
+              report
+        | r -> Alcotest.failf "%s %s: %s" w.R.name name (response_label r))
+      ws
+  in
+  round ~name:"cold" ~want_cached:false;
+  round ~name:"warm" ~want_cached:true
 
 let test_mux_pipelined_order () =
   with_mux @@ fun mx ->
-  let conn = Mux.loopback mx in
-  Fun.protect ~finally:(fun () -> conn.Proto.close ()) @@ fun () ->
+  with_conn mx @@ fun conn ->
   (* a slow compile followed by a ping on the same connection: the
      ping's answer is ready instantly, but responses are strictly
      request-ordered, so Pong must arrive after the Report *)
   Proto.send_request conn
     (Proto.Compile (mk_compile (`Workload (R.generated 60).R.name)));
   Proto.send_request conn Proto.Ping;
-  (match Proto.recv_response conn with
-  | Proto.Msg (Proto.Report { cached = false; _ }) -> ()
-  | Proto.Msg r -> Alcotest.failf "first response: %s" (response_label r)
-  | _ -> Alcotest.fail "first response: stream ended");
-  match Proto.recv_response conn with
-  | Proto.Msg Proto.Pong -> ()
-  | Proto.Msg r -> Alcotest.failf "second response: %s" (response_label r)
-  | _ -> Alcotest.fail "second response: stream ended"
+  (match recv conn "first response" with
+  | Proto.Report { cached = false; _ } -> ()
+  | r -> Alcotest.failf "first response: %s" (response_label r));
+  match recv conn "second response" with
+  | Proto.Pong -> ()
+  | r -> Alcotest.failf "second response: %s" (response_label r)
 
 let test_mux_slow_loris () =
   with_mux @@ fun mx ->
-  let conn = Mux.loopback mx in
-  Fun.protect ~finally:(fun () -> conn.Proto.close ()) @@ fun () ->
-  let payload = J.to_string ~minify:true (Proto.request_to_json Proto.Ping) in
-  let frame = Bytes.create (4 + String.length payload) in
-  Bytes.set_int32_be frame 0 (Int32.of_int (String.length payload));
-  Bytes.blit_string payload 0 frame 4 (String.length payload);
+  with_conn mx @@ fun conn ->
+  let frame = frame_of Proto.Ping in
   (* dribble half the frame a byte at a time; the daemon must buffer
      the fragments without blocking anyone else *)
   let half = Bytes.length frame / 2 in
@@ -470,15 +494,14 @@ let test_mux_slow_loris () =
     if i mod 5 = 0 then Thread.delay 0.001
   done;
   (* other clients are served while the loris holds its half-frame *)
-  with_mux_client mx (fun c ->
+  with_client mx (fun c ->
       Alcotest.(check bool) "ping during partial frame" true (Client.ping c));
   for i = half to Bytes.length frame - 1 do
     conn.Proto.output frame i 1
   done;
-  match Proto.recv_response conn with
-  | Proto.Msg Proto.Pong -> ()
-  | Proto.Msg r -> Alcotest.failf "loris reply: %s" (response_label r)
-  | _ -> Alcotest.fail "loris reply: stream ended"
+  match recv conn "loris reply" with
+  | Proto.Pong -> ()
+  | r -> Alcotest.failf "loris reply: %s" (response_label r)
 
 let test_mux_hangup_mid_response () =
   with_mux @@ fun mx ->
@@ -490,7 +513,7 @@ let test_mux_hangup_mid_response () =
   conn.Proto.close ();
   (* give the abandoned response time to be computed and written *)
   Thread.delay 0.3;
-  with_mux_client mx @@ fun c ->
+  with_client mx @@ fun c ->
   Alcotest.(check bool) "ping after hangup" true (Client.ping c);
   match
     Client.compile c (mk_compile (`Source "int main() { return 42; }"))
@@ -500,7 +523,7 @@ let test_mux_hangup_mid_response () =
 
 let test_mux_per_request_deadline () =
   with_mux @@ fun mx ->
-  with_mux_client mx @@ fun c ->
+  with_client mx @@ fun c ->
   (* a 1 ms budget on a generated workload: expired long before the
      compile lands, overriding the (huge) server default *)
   (match
@@ -521,31 +544,24 @@ let test_mux_deadline_while_queued () =
   (* jobs = 2 gives the pool a single worker domain: the first compile
      occupies it, so the second expires without ever starting *)
   with_mux ~config:{ Mux.default_config with Mux.jobs = 2 } @@ fun mx ->
-  let slow = Mux.loopback mx and fast = Mux.loopback mx in
-  Fun.protect
-    ~finally:(fun () ->
-      slow.Proto.close ();
-      fast.Proto.close ())
-  @@ fun () ->
+  with_conn mx @@ fun slow ->
+  with_conn mx @@ fun fast ->
   Proto.send_request slow
     (Proto.Compile (mk_compile (`Workload (R.generated 240).R.name)));
   Thread.delay 0.05 (* let the worker pick it up *);
   Proto.send_request fast
     (Proto.Compile
        (mk_compile ~deadline_s:0.05 (`Source "int main() { return 9; }")));
-  (match Proto.recv_response fast with
-  | Proto.Msg (Proto.Error { kind = Proto.Timeout; _ }) -> ()
-  | Proto.Msg r -> Alcotest.failf "queued request: %s" (response_label r)
-  | _ -> Alcotest.fail "queued request: stream ended");
-  match Proto.recv_response slow with
-  | Proto.Msg (Proto.Report _) -> ()
-  | Proto.Msg r -> Alcotest.failf "occupying compile: %s" (response_label r)
-  | _ -> Alcotest.fail "occupying compile: stream ended"
+  (match recv fast "queued request" with
+  | Proto.Error { kind = Proto.Timeout; _ } -> ()
+  | r -> Alcotest.failf "queued request: %s" (response_label r));
+  match recv slow "occupying compile" with
+  | Proto.Report _ -> ()
+  | r -> Alcotest.failf "occupying compile: %s" (response_label r)
 
 let test_mux_dedup_single_flight () =
   with_mux @@ fun mx ->
-  let conn = Mux.loopback mx in
-  Fun.protect ~finally:(fun () -> conn.Proto.close ()) @@ fun () ->
+  with_conn mx @@ fun conn ->
   (* two identical deterministic requests back to back: the second is
      scanned while the first compiles, so it must join the in-flight
      future instead of burning a second worker *)
@@ -553,43 +569,36 @@ let test_mux_dedup_single_flight () =
   Proto.send_request conn req;
   Proto.send_request conn req;
   let report_of name =
-    match Proto.recv_response conn with
-    | Proto.Msg (Proto.Report { report; _ }) -> report
-    | Proto.Msg r -> Alcotest.failf "%s: %s" name (response_label r)
-    | _ -> Alcotest.failf "%s: stream ended" name
+    match recv conn name with
+    | Proto.Report { report; _ } -> report
+    | r -> Alcotest.failf "%s: %s" name (response_label r)
   in
   let r1 = report_of "first" in
   let r2 = report_of "second" in
   Alcotest.(check string) "joined twin serves identical bytes" r1 r2;
-  let joins =
-    match J.member (Mux.stats_doc mx) "serve" with
-    | Some serve -> (
-        match J.member serve "responses" with
-        | Some responses -> (
-            match J.member responses "dedup_joins" with
-            | Some (J.Int n) -> n
-            | _ -> Alcotest.fail "stats: no dedup_joins")
-        | None -> Alcotest.fail "stats: no responses section")
-    | None -> Alcotest.fail "stats: no serve section"
-  in
-  Alcotest.(check int) "exactly one dedup join" 1 joins
+  Alcotest.(check int) "exactly one dedup join" 1
+    (stat_int (Mux.stats_doc mx) [ "serve"; "responses"; "dedup_joins" ])
 
 let test_mux_oversized_poisons () =
   with_mux @@ fun mx ->
-  let conn = Mux.loopback mx in
-  Fun.protect ~finally:(fun () -> conn.Proto.close ()) @@ fun () ->
-  let hdr = Bytes.create 4 in
-  Bytes.set_int32_be hdr 0 (Int32.of_int (Proto.max_frame + 1));
-  conn.Proto.output hdr 0 4;
-  (match Proto.recv_response conn with
-  | Proto.Msg (Proto.Error { kind = Proto.Protocol_error; _ }) -> ()
-  | Proto.Msg r -> Alcotest.failf "oversized frame: %s" (response_label r)
-  | Proto.End -> Alcotest.fail "oversized frame: closed without an error"
-  | Proto.Garbled m -> Alcotest.failf "oversized frame: garbled: %s" m);
-  (match Proto.recv_response conn with
-  | Proto.End -> ()
-  | _ -> Alcotest.fail "stream not poisoned after oversized frame");
-  with_mux_client mx @@ fun c ->
+  (with_conn mx @@ fun conn ->
+   (* a ping and an oversized length prefix in one write: the ping,
+      ahead of the violation, is still answered in order; then the
+      protocol error, then end of stream *)
+   let hdr = Bytes.create 4 in
+   Bytes.set_int32_be hdr 0 (Int32.of_int (Proto.max_frame + 1));
+   let b = Bytes.cat (frame_of Proto.Ping) hdr in
+   conn.Proto.output b 0 (Bytes.length b);
+   (match recv conn "ping before oversized frame" with
+   | Proto.Pong -> ()
+   | r -> Alcotest.failf "ping before oversized frame: %s" (response_label r));
+   (match recv conn "oversized frame" with
+   | Proto.Error { kind = Proto.Protocol_error; _ } -> ()
+   | r -> Alcotest.failf "oversized frame: %s" (response_label r));
+   match Proto.recv_response conn with
+   | Proto.End -> ()
+   | _ -> Alcotest.fail "stream not poisoned after oversized frame");
+  with_client mx @@ fun c ->
   Alcotest.(check bool) "daemon survives" true (Client.ping c)
 
 let test_mux_store_restart () =
@@ -598,7 +607,7 @@ let test_mux_store_restart () =
   let req = mk_compile (`Source "int main() { return 40 + 2; }") in
   let report1 =
     with_mux ~config @@ fun mx ->
-    with_mux_client mx @@ fun c ->
+    with_client mx @@ fun c ->
     match Client.compile c req with
     | Proto.Report { cached = false; report } -> report
     | r -> Alcotest.failf "first daemon: %s" (response_label r)
@@ -606,7 +615,7 @@ let test_mux_store_restart () =
   (* a fresh daemon over the same directory: warm from request one,
      byte-identical across the restart *)
   with_mux ~config @@ fun mx ->
-  with_mux_client mx @@ fun c ->
+  with_client mx @@ fun c ->
   match Client.compile c req with
   | Proto.Report { cached = true; report } ->
       Alcotest.(check string) "bytes survive the restart" report1 report
@@ -636,7 +645,7 @@ let test_mux_shard_router () =
       Mux.stop router;
       Array.iter Thread.join shard_threads)
   @@ fun () ->
-  with_mux_client router @@ fun c ->
+  with_client router @@ fun c ->
   let srcs =
     List.init 6 (fun i -> Printf.sprintf "int main() { return %d; }" i)
   in
@@ -658,17 +667,13 @@ let test_mux_shard_router () =
       | r -> Alcotest.failf "router warm %s: %s" s (response_label r))
     srcs fresh;
   (* byte identity holds through the relay *)
-  (match Client.compile c { (request w) with Proto.deadline_s = None } with
+  (match Client.compile c (request w) with
   | Proto.Report { cached = false; report } ->
       Alcotest.(check string) "relayed report byte-identical" direct report
   | r -> Alcotest.failf "relayed workload: %s" (response_label r));
   (* the stats document names the fleet *)
-  match J.member (Mux.stats_doc router) "serve" with
-  | Some serve -> (
-      match J.member serve "shards" with
-      | Some (J.Int 2) -> ()
-      | _ -> Alcotest.fail "router stats: no shards = 2")
-  | None -> Alcotest.fail "router stats: no serve section"
+  Alcotest.(check int) "router stats: shards" 2
+    (stat_int (Mux.stats_doc router) [ "serve"; "shards" ])
 
 let suite =
   [
@@ -676,6 +681,8 @@ let suite =
       test_rounds;
     Alcotest.test_case "regs splits the cache" `Quick test_regs_splits_cache;
     Alcotest.test_case "poisoned request" `Quick test_poisoned;
+    Alcotest.test_case "failing compiles never join a finished twin" `Quick
+      test_failing_compiles_never_join;
     Alcotest.test_case "fuel-exhausted structured error" `Quick
       test_fuel_exhausted;
     Alcotest.test_case "unknown workload" `Quick test_unknown_workload;
